@@ -10,8 +10,11 @@
 //     or below the absolute ceiling (-max-hit-allocs, default 50). The
 //     hit path is pre-serialized end to end; any new allocation is a leak
 //     into the hot path, not noise.
-//   - served_cache_miss: allocs/op must not exceed the committed baseline
-//     by more than the relative slack (-miss-slack, default 20%).
+//   - served_cache_miss and autotune_cell: allocs/op must not exceed the
+//     committed baseline by more than the relative slack (-miss-slack,
+//     default 20%). autotune_cell is one plan plus one trace-free
+//     simulation — the ensemble scheduler and the broadcast builder — so
+//     its row catches an allocation leak into either kernel directly.
 //
 // With -cluster it instead gates a distributed-tier artifact written by
 // `loadgen -cluster` (BENCH_cluster.json):
@@ -77,7 +80,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_netsim.json", "committed baseline artifact")
 	currentPath := flag.String("current", "", "freshly measured artifact to gate (required)")
 	maxHitAllocs := flag.Int64("max-hit-allocs", 50, "absolute allocs/op ceiling for served cache hits")
-	missSlack := flag.Float64("miss-slack", 0.20, "allowed relative allocs/op growth for served_cache_miss vs baseline")
+	missSlack := flag.Float64("miss-slack", 0.20, "allowed relative allocs/op growth for served_cache_miss and autotune_cell vs baseline")
 	cluster := flag.Bool("cluster", false, "gate a distributed-tier artifact (loadgen -cluster) instead of the netsim one")
 	minSpeedup := flag.Float64("min-cluster-speedup", 6, "minimum 8-node vs 1-node throughput ratio (-cluster)")
 	minWarmHit := flag.Float64("min-warm-hit-rate", 0.95, "minimum warm-restart hit rate (-cluster)")
@@ -132,19 +135,20 @@ func main() {
 			name, row.AllocsPerOp, *maxHitAllocs, row.NsPerOp)
 	}
 
-	const miss = "served_cache_miss"
-	cur, curOK := current[miss]
-	base, baseOK := baseline[miss]
-	switch {
-	case !curOK:
-		report(false, "%s: missing from %s", miss, *currentPath)
-	case !baseOK:
-		report(false, "%s: missing from baseline %s", miss, *baselinePath)
-	default:
-		limit := int64(float64(base.AllocsPerOp) * (1 + *missSlack))
-		report(cur.AllocsPerOp <= limit,
-			"%s: %d allocs/op (baseline %d, limit %d), %.0f ns/op",
-			miss, cur.AllocsPerOp, base.AllocsPerOp, limit, cur.NsPerOp)
+	for _, name := range []string{"served_cache_miss", "autotune_cell"} {
+		cur, curOK := current[name]
+		base, baseOK := baseline[name]
+		switch {
+		case !curOK:
+			report(false, "%s: missing from %s", name, *currentPath)
+		case !baseOK:
+			report(false, "%s: missing from baseline %s", name, *baselinePath)
+		default:
+			limit := int64(float64(base.AllocsPerOp) * (1 + *missSlack))
+			report(cur.AllocsPerOp <= limit,
+				"%s: %d allocs/op (baseline %d, limit %d), %.0f ns/op",
+				name, cur.AllocsPerOp, base.AllocsPerOp, limit, cur.NsPerOp)
+		}
 	}
 
 	if failed {

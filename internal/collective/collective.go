@@ -10,7 +10,10 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/netsim"
@@ -103,64 +106,172 @@ func P2P(net *netsim.ClusterNet, label string, src, dst int, bytes int64, seq in
 //
 // With hop time t and K chunks the chain completes in ≈ t + (hops·t)/K,
 // which approaches the single-copy lower bound t for large K.
+//
+// BroadcastChain is the one-shot form of Broadcaster.AppendChain; callers
+// that register many chains should hold a Broadcaster instead.
 func BroadcastChain(net *netsim.ClusterNet, label string, chain []int, bytes int64, chunks, seq int, deps ...netsim.OpID) (*Result, error) {
-	if len(chain) < 2 {
-		return nil, fmt.Errorf("collective: broadcast chain needs >= 2 devices, got %d", len(chain))
-	}
-	if err := validateDevices(net.Topo, chain); err != nil {
+	var b Broadcaster
+	first := net.Sim.NumOps()
+	if _, err := b.AppendChain(nil, net, label, chain, bytes, chunks, seq, deps); err != nil {
 		return nil, err
 	}
+	// The chain's ops are registered back to back, so their ids are the
+	// contiguous run from first.
+	res := &Result{DoneAt: make(map[int]netsim.OpID, len(b.prev)), Ops: make([]netsim.OpID, 0, net.Sim.NumOps()-first)}
+	for id := first; id < net.Sim.NumOps(); id++ {
+		res.Ops = append(res.Ops, netsim.OpID(id))
+	}
+	for j, id := range b.prev {
+		res.DoneAt[chain[j+1]] = id
+	}
+	return res, nil
+}
+
+// Broadcaster registers pipelined broadcasts into caller-owned storage. It
+// owns the scratch of chain ordering, device validation and completion
+// sorting, so a long-lived Broadcaster (one per simulation builder) builds
+// chains without allocating once its buffers have grown. The zero value is
+// ready to use; a Broadcaster is not safe for concurrent use.
+type Broadcaster struct {
+	order []keyed
+	chain []int
+	// seen[d] == gen marks device d as already on the chain being
+	// validated; bumping gen clears every mark at once.
+	seen []uint32
+	gen  uint32
+	// prev[j] is the op of the latest chunk registered on hop j; after
+	// AppendChain it holds each hop's completion op.
+	prev []netsim.OpID
+	deps []netsim.OpID
+	fin  []keyed
+}
+
+// keyed is a sort record: a key (a chain-order rank, or a device) and a
+// payload (a device, or an op id) that breaks ties.
+type keyed struct{ key, val int }
+
+func byKeyThenVal(a, b keyed) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.val, b.val)
+}
+
+// Order arranges a sender and its receivers into the broadcast chain (see
+// BroadcastOrder). The returned slice is the Broadcaster's own buffer,
+// valid until its next Order call.
+//
+//alpacomm:hotpath
+func (b *Broadcaster) Order(c mesh.Topology, sender int, receivers []int) []int {
+	senderHost := c.HostOf(sender)
+	order := b.order[:0]
+	for _, d := range receivers {
+		rank := c.HostOf(d)
+		if rank == senderHost {
+			rank = math.MinInt // the sender's host leads the chain
+		}
+		order = append(order, keyed{key: rank, val: d})
+	}
+	slices.SortFunc(order, byKeyThenVal)
+	chain := append(b.chain[:0], sender)
+	for _, o := range order {
+		chain = append(chain, o.val)
+	}
+	b.order, b.chain = order, chain
+	return chain
+}
+
+// AppendChain registers the pipelined broadcast of BroadcastChain and
+// appends its completion ops to done — one per receiving device, in
+// ascending device order (the order of Result.AllDone) — returning the
+// extended slice. On error done is returned unextended.
+//
+//alpacomm:hotpath
+func (b *Broadcaster) AppendChain(done []netsim.OpID, net *netsim.ClusterNet, label string, chain []int, bytes int64, chunks, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
+	if len(chain) < 2 {
+		return done, fmt.Errorf("collective: broadcast chain needs >= 2 devices, got %d", len(chain))
+	}
+	if err := b.validate(net.Topo, chain); err != nil {
+		return done, err
+	}
 	if chunks < 1 {
-		return nil, fmt.Errorf("collective: chunk count %d < 1", chunks)
+		return done, fmt.Errorf("collective: chunk count %d < 1", chunks)
 	}
 	if bytes < int64(chunks) {
 		chunks = 1 // tiny message: no point pipelining
 	}
-	sizes := chunkSizes(bytes, chunks)
 	hops := len(chain) - 1
-	res := &Result{DoneAt: map[int]netsim.OpID{}}
-	// prev[j] is the op of the previous chunk on hop j (pipeline ordering);
-	// upstream is the op delivering the current chunk to chain[j].
-	prev := make([]netsim.OpID, hops)
-	havePrev := false
-	var depBuf []netsim.OpID // reused per op; AddOp copies into its arena
+	prev := slices.Grow(b.prev[:0], hops)[:hops]
+	b.prev = prev
+	depBuf := b.deps[:0] // reused per op; AddOp copies into its arena
 	for i := 0; i < chunks; i++ {
-		var upstream netsim.OpID
-		haveUp := false
+		// Chunk i spans the floor boundaries i·bytes/K .. (i+1)·bytes/K,
+		// the split chunkSizes makes.
+		size := int64(i+1)*bytes/int64(chunks) - int64(i)*bytes/int64(chunks)
 		for j := 0; j < hops; j++ {
 			d := depBuf[:0]
-			if haveUp {
-				d = append(d, upstream) // chunk i arrived at chain[j]
+			if j > 0 {
+				d = append(d, prev[j-1]) // chunk i arrived at chain[j]
 			} else {
 				d = append(d, deps...) // sender readiness
 			}
-			if havePrev {
+			if i > 0 {
 				d = append(d, prev[j]) // chunk i-1 left this hop
 			}
 			depBuf = d
-			// The first chunk pays the route's latency; later chunks are
-			// streamed on the established route.
-			xfer := net.Transfer
-			if i > 0 {
-				xfer = net.StreamTransfer
-			}
 			lbl := netsim.Label{Prefix: label, Kind: netsim.LabelChunkHop, A: int32(i), B: int32(j)}
-			id, err := xfer(lbl, chain[j], chain[j+1], sizes[i], seq, d...)
-			if err != nil {
-				return nil, err
+			var id netsim.OpID
+			var err error
+			if i == 0 {
+				// The first chunk pays the route's latency; later chunks
+				// are streamed on the established route.
+				id, err = net.Transfer(lbl, chain[j], chain[j+1], size, seq, d...)
+			} else {
+				id, err = net.StreamTransfer(lbl, chain[j], chain[j+1], size, seq, d...)
 			}
-			res.Ops = append(res.Ops, id)
+			if err != nil {
+				b.deps = depBuf
+				return done, err
+			}
 			prev[j] = id
-			upstream = id
-			haveUp = true
 		}
-		havePrev = true
 	}
-	// Each device is done when the final chunk arrives.
+	b.deps = depBuf
+	// Each device is done when the final chunk arrives; report them in
+	// ascending device order.
+	fin := b.fin[:0]
 	for j := 0; j < hops; j++ {
-		res.DoneAt[chain[j+1]] = prev[j]
+		fin = append(fin, keyed{key: chain[j+1], val: int(prev[j])})
 	}
-	return res, nil
+	slices.SortFunc(fin, byKeyThenVal)
+	for _, f := range fin {
+		done = append(done, netsim.OpID(f.val))
+	}
+	b.fin = fin
+	return done, nil
+}
+
+// validate rejects invalid and repeated devices, reporting the first
+// offender in chain order.
+func (b *Broadcaster) validate(c mesh.Topology, devices []int) error {
+	if n := c.NumDevices(); len(b.seen) < n {
+		b.seen = append(b.seen, make([]uint32, n-len(b.seen))...)
+	}
+	b.gen++
+	if b.gen == 0 { // stamp wrapped: old marks could alias
+		clear(b.seen)
+		b.gen = 1
+	}
+	for _, d := range devices {
+		if !c.ValidDevice(d) {
+			return fmt.Errorf("collective: invalid device %d", d)
+		}
+		if b.seen[d] == b.gen {
+			return fmt.Errorf("collective: duplicate device %d", d)
+		}
+		b.seen[d] = b.gen
+	}
+	return nil
 }
 
 // RingAllGather registers an NCCL-style ring all-gather over the devices:

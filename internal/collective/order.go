@@ -12,36 +12,8 @@ import (
 // consecutively in ascending host order — so every receiving host's NIC
 // receives exactly one copy of the message.
 func BroadcastOrder(c mesh.Topology, sender int, receivers []int) []int {
-	byHost := map[int][]int{}
-	for _, d := range receivers {
-		h := c.HostOf(d)
-		byHost[h] = append(byHost[h], d)
-	}
-	var hosts []int
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Ints(hosts)
-	senderHost := c.HostOf(sender)
-	// Sender's host first, then the rest in ascending order.
-	ordered := make([]int, 0, len(hosts))
-	for _, h := range hosts {
-		if h == senderHost {
-			ordered = append(ordered, h)
-		}
-	}
-	for _, h := range hosts {
-		if h != senderHost {
-			ordered = append(ordered, h)
-		}
-	}
-	chain := []int{sender}
-	for _, h := range ordered {
-		devs := byHost[h]
-		sort.Ints(devs)
-		chain = append(chain, devs...)
-	}
-	return chain
+	var b Broadcaster
+	return b.Order(c, sender, receivers)
 }
 
 // RingOrder arranges devices into a ring that crosses host boundaries as

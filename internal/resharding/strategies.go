@@ -9,37 +9,39 @@ import (
 	"alpacomm/internal/netsim"
 )
 
-// buildUnitOps registers the communication ops of one unit task under the
-// plan's strategy and returns the completion ops (one per receiver-side
-// endpoint), used to chain Eq. 3 exclusivity between unit tasks.
-func buildUnitOps(net *netsim.ClusterNet, opts Options, label string, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
+// buildUnitOps registers the communication ops of one unit task on the
+// bound net under the plan's strategy and appends its completion ops (one
+// per receiver-side endpoint) to the builder's completion arena, returning
+// the extended arena; they chain Eq. 3 exclusivity between unit tasks.
+func (b *PlanBuilder) buildUnitOps(opts Options, idx, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
+	done, net := b.done, b.net
+	label := b.unitLabel(idx).unit
 	switch opts.Strategy {
 	case SendRecv:
-		return buildSendRecv(net, label, sender, receivers, bytes, seq, deps)
+		return buildSendRecv(done, net, label, sender, receivers, bytes, seq, deps)
 	case LocalAllGather:
-		return buildLocalAllGather(net, label, sender, receivers, bytes, seq, deps)
+		return buildLocalAllGather(done, net, label, sender, receivers, bytes, seq, deps)
 	case GlobalAllGather:
-		return buildGlobalAllGather(net, label, sender, receivers, bytes, seq, deps, false)
+		return buildGlobalAllGather(done, net, label, sender, receivers, bytes, seq, deps, false)
 	case Broadcast:
-		return buildBroadcast(net, opts, label, sender, receivers, bytes, seq, deps)
+		return b.buildBroadcast(done, opts, idx, sender, receivers, bytes, seq, deps)
 	case Alpa:
-		return buildAlpa(net, label, sender, receivers, elements, bytes, seq, deps)
+		return buildAlpa(done, net, label, sender, receivers, elements, bytes, seq, deps)
 	case Signal:
-		return buildSendRecv(net, label, sender, receivers, 1, seq, deps)
+		return buildSendRecv(done, net, label, sender, receivers, 1, seq, deps)
 	default:
-		return nil, fmt.Errorf("resharding: unknown strategy %v", opts.Strategy)
+		return done, fmt.Errorf("resharding: unknown strategy %v", opts.Strategy)
 	}
 }
 
 // buildSendRecv: one full copy per receiver device, serialized on the
 // sender's resources (Fig. 3a).
-func buildSendRecv(net *netsim.ClusterNet, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
-	var done []netsim.OpID
+func buildSendRecv(done []netsim.OpID, net *netsim.ClusterNet, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
 	for _, dst := range receivers {
 		lbl := netsim.Label{Prefix: label, Kind: netsim.LabelSendRecv, A: int32(dst)}
 		id, err := net.Transfer(lbl, sender, dst, bytes, seq, deps...)
 		if err != nil {
-			return nil, err
+			return done, err
 		}
 		done = append(done, id)
 	}
@@ -49,16 +51,14 @@ func buildSendRecv(net *netsim.ClusterNet, label string, sender int, receivers [
 // buildLocalAllGather: per receiver host, scatter 1/B to each device and
 // all-gather locally (Fig. 3b). Receivers on the sender's own host get
 // direct NVLink copies.
-func buildLocalAllGather(net *netsim.ClusterNet, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
+func buildLocalAllGather(done []netsim.OpID, net *netsim.ClusterNet, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
 	c := net.Topo
-	var done []netsim.OpID
 	for _, group := range groupByHost(c, receivers) {
 		if c.HostOf(group[0]) == c.HostOf(sender) || len(group) == 1 {
-			d, err := buildSendRecv(net, label, sender, group, bytes, seq, deps)
-			if err != nil {
-				return nil, err
+			var err error
+			if done, err = buildSendRecv(done, net, label, sender, group, bytes, seq, deps); err != nil {
+				return done, err
 			}
-			done = append(done, d...)
 			continue
 		}
 		parts := splitBytes(bytes, len(group))
@@ -67,13 +67,13 @@ func buildLocalAllGather(net *netsim.ClusterNet, label string, sender int, recei
 			lbl := netsim.Label{Prefix: label, Kind: netsim.LabelScatter, A: int32(dst)}
 			id, err := net.Transfer(lbl, sender, dst, parts[i], seq, deps...)
 			if err != nil {
-				return nil, err
+				return done, err
 			}
 			startDeps[dst] = []netsim.OpID{id}
 		}
 		res, err := collective.RingAllGather(net, label+"/lag", group, bytes, seq, startDeps)
 		if err != nil {
-			return nil, err
+			return done, err
 		}
 		done = append(done, res.AllDone()...)
 	}
@@ -85,9 +85,9 @@ func buildLocalAllGather(net *netsim.ClusterNet, label string, sender int, recei
 // whole scatter phase (separate launches, the Alpa baseline's behaviour);
 // otherwise each device's part of the all-gather starts as soon as its own
 // chunk arrives.
-func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID, barrier bool) ([]netsim.OpID, error) {
+func buildGlobalAllGather(done []netsim.OpID, net *netsim.ClusterNet, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID, barrier bool) ([]netsim.OpID, error) {
 	if len(receivers) == 1 {
-		return buildSendRecv(net, label, sender, receivers, bytes, seq, deps)
+		return buildSendRecv(done, net, label, sender, receivers, bytes, seq, deps)
 	}
 	ring := collective.RingOrder(net.Topo, receivers)
 	parts := splitBytes(bytes, len(ring))
@@ -97,7 +97,7 @@ func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, rece
 		lbl := netsim.Label{Prefix: label, Kind: netsim.LabelScatter, A: int32(dst)}
 		id, err := net.Transfer(lbl, sender, dst, parts[i], seq, deps...)
 		if err != nil {
-			return nil, err
+			return done, err
 		}
 		scatterOps = append(scatterOps, id)
 		startDeps[dst] = []netsim.OpID{id}
@@ -109,41 +109,45 @@ func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, rece
 	}
 	res, err := collective.RingAllGather(net, label+"/gag", ring, bytes, seq, startDeps)
 	if err != nil {
-		return nil, err
+		return done, err
 	}
-	return res.AllDone(), nil
+	return append(done, res.AllDone()...), nil
 }
 
 // buildBroadcast: the paper's pipelined broadcast chain (Fig. 3d). On
 // clusters with several NICs per host, the unit task is divided into one
 // sub-task per NIC (the §3.1 future-work extension): each part travels its
-// own chain over a distinct NIC, multiplying cross-host bandwidth.
-func buildBroadcast(net *netsim.ClusterNet, opts Options, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
-	chain := collective.BroadcastOrder(net.Topo, sender, receivers)
+// own chain over a distinct NIC, multiplying cross-host bandwidth. The ops
+// go to the bound net; the chain, the NIC views and the labels all come
+// from the builder's scratch, so a warm builder registers a broadcast
+// without allocating.
+//
+//alpacomm:hotpath
+func (b *PlanBuilder) buildBroadcast(done []netsim.OpID, opts Options, idx, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
+	net := b.net
+	// chain is the Broadcaster's order buffer; AppendChain leaves it
+	// intact, so every NIC part below walks the same chain.
+	chain := b.bc.Order(net.Topo, sender, receivers)
 	chunks := opts.Chunks
 	if chunks <= 0 {
 		chunks = collective.DefaultChunks(bytes)
 	}
 	nics := chainNICs(net.Topo, chain)
 	if nics == 1 || bytes < int64(nics) {
-		res, err := collective.BroadcastChain(net, label+"/bc", chain, bytes, chunks, seq, deps...)
-		if err != nil {
-			return nil, err
-		}
-		return res.AllDone(), nil
+		return b.bc.AppendChain(done, net, b.bcLabel(idx), chain, bytes, chunks, seq, deps)
 	}
-	parts := splitBytes(bytes, nics)
 	perNICChunks := (chunks + nics - 1) / nics
 	if perNICChunks < 1 {
 		perNICChunks = 1
 	}
-	var done []netsim.OpID
-	for k, part := range parts {
-		res, err := collective.BroadcastChain(net.OnNIC(k), fmt.Sprintf("%s/bc.nic%d", label, k), chain, part, perNICChunks, seq, deps...)
-		if err != nil {
-			return nil, err
+	for k := 0; k < nics; k++ {
+		// Part k spans the floor boundaries k·bytes/nics .. (k+1)·bytes/nics,
+		// the split splitBytes makes.
+		part := int64(k+1)*bytes/int64(nics) - int64(k)*bytes/int64(nics)
+		var err error
+		if done, err = b.bc.AppendChain(done, b.onNIC(k), b.nicLabel(idx, k), chain, part, perNICChunks, seq, deps); err != nil {
+			return done, err
 		}
-		done = append(done, res.AllDone()...)
 	}
 	return done, nil
 }
@@ -153,20 +157,20 @@ func buildBroadcast(net *netsim.ClusterNet, opts Options, label string, sender i
 // scatter barrier otherwise — but only when the slice divides evenly over
 // the receivers; uneven partitions fall back to naive send/recv (§5.1.1:
 // "Alpa cannot handle uneven partition").
-func buildAlpa(net *netsim.ClusterNet, label string, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
+func buildAlpa(done []netsim.OpID, net *netsim.ClusterNet, label string, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
 	c := net.Topo
 	groups := groupByHost(c, receivers)
 	multiHost := len(groups) > 1
 	if !multiHost {
 		if elements%int64(len(receivers)) != 0 {
-			return buildSendRecv(net, label, sender, receivers, bytes, seq, deps)
+			return buildSendRecv(done, net, label, sender, receivers, bytes, seq, deps)
 		}
-		return buildLocalAllGather(net, label, sender, receivers, bytes, seq, deps)
+		return buildLocalAllGather(done, net, label, sender, receivers, bytes, seq, deps)
 	}
 	if elements%int64(len(receivers)) != 0 {
-		return buildSendRecv(net, label, sender, receivers, bytes, seq, deps)
+		return buildSendRecv(done, net, label, sender, receivers, bytes, seq, deps)
 	}
-	return buildGlobalAllGather(net, label, sender, receivers, bytes, seq, deps, true)
+	return buildGlobalAllGather(done, net, label, sender, receivers, bytes, seq, deps, true)
 }
 
 // chainNICs returns the number of NICs a broadcast chain can stripe over:
@@ -174,14 +178,8 @@ func buildAlpa(net *netsim.ClusterNet, label string, sender int, receivers []int
 // split unit task has a dedicated NIC on every hop.
 func chainNICs(t mesh.Topology, chain []int) int {
 	nics := 0
-	seen := map[int]bool{}
 	for _, d := range chain {
-		h := t.HostOf(d)
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
-		if n := t.NICCount(h); nics == 0 || n < nics {
+		if n := t.NICCount(t.HostOf(d)); nics == 0 || n < nics {
 			nics = n
 		}
 	}

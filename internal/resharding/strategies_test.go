@@ -15,7 +15,7 @@ func strategyNet(hosts int) *netsim.ClusterNet {
 
 func TestBuildSendRecvOpsPerReceiver(t *testing.T) {
 	net := strategyNet(2)
-	done, err := buildSendRecv(net, "u", 0, []int{4, 5, 6}, 1000, 0, nil)
+	done, err := buildSendRecv(nil, net, "u", 0, []int{4, 5, 6}, 1000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestLocalAllGatherOnSenderHostIsDirect(t *testing.T) {
 	// Receivers on the sender's own host get plain NVLink copies (no
 	// scatter+gather round trip).
 	net := strategyNet(1)
-	done, err := buildLocalAllGather(net, "u", 0, []int{1, 2}, 1000, 0, nil)
+	done, err := buildLocalAllGather(nil, net, "u", 0, []int{1, 2}, 1000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestLocalAllGatherSingleReceiverHost(t *testing.T) {
 	net := strategyNet(2)
 	// 3 receivers on host 1: scatter (3 ops) + ring all-gather (2 rounds x
 	// 3 devices = 6 ops).
-	_, err := buildLocalAllGather(net, "u", 0, []int{4, 5, 6}, 999, 0, nil)
+	_, err := buildLocalAllGather(nil, net, "u", 0, []int{4, 5, 6}, 999, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLocalAllGatherSingleReceiverHost(t *testing.T) {
 
 func TestGlobalAllGatherSingleReceiverFallsBack(t *testing.T) {
 	net := strategyNet(2)
-	done, err := buildGlobalAllGather(net, "u", 0, []int{4}, 1000, 0, nil, false)
+	done, err := buildGlobalAllGather(nil, net, "u", 0, []int{4}, 1000, 0, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,18 @@ func TestBroadcastBeatsAlpaAcrossHosts(t *testing.T) {
 		return mk
 	}
 	alpa := run(func(net *netsim.ClusterNet) error {
-		_, err := buildAlpa(net, "u", 0, recvs, 1000, 4000, 0, nil)
+		_, err := buildAlpa(nil, net, "u", 0, recvs, 1000, 4000, 0, nil)
 		return err
 	})
-	bc := run(func(net *netsim.ClusterNet) error {
-		_, err := buildBroadcast(net, Options{Chunks: 64}, "u", 0, recvs, 4000, 0, nil)
-		return err
-	})
+	b := NewPlanBuilder()
+	net := b.bind(microCluster(3))
+	if _, err := b.buildBroadcast(nil, Options{Chunks: 64}, 0, 0, recvs, 4000, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	bc, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bc*1.5 > alpa {
 		t.Errorf("broadcast (%v) should be ≈ 2x faster than staged alpa (%v)", bc, alpa)
 	}
@@ -93,7 +98,7 @@ func TestBroadcastBeatsAlpaAcrossHosts(t *testing.T) {
 func TestAlpaSingleHostUnevenFallsBack(t *testing.T) {
 	net := strategyNet(2)
 	// 1001 elements over 3 receivers on one host: uneven -> send/recv.
-	done, err := buildAlpa(net, "u", 0, []int{4, 5, 6}, 1001, 4004, 0, nil)
+	done, err := buildAlpa(nil, net, "u", 0, []int{4, 5, 6}, 1001, 4004, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +108,9 @@ func TestAlpaSingleHostUnevenFallsBack(t *testing.T) {
 }
 
 func TestBuildUnitOpsUnknownStrategy(t *testing.T) {
-	net := strategyNet(1)
-	if _, err := buildUnitOps(net, Options{Strategy: Strategy(42)}, "u", 0, []int{1}, 10, 40, 0, nil); err == nil {
+	b := NewPlanBuilder()
+	b.bind(microCluster(1))
+	if _, err := b.buildUnitOps(Options{Strategy: Strategy(42)}, 0, 0, []int{1}, 10, 40, 0, nil); err == nil {
 		t.Error("unknown strategy should fail")
 	}
 }
@@ -168,9 +174,9 @@ func TestSenderRoundRobin(t *testing.T) {
 // doubles cross-host bandwidth.
 func TestMultiNICBroadcastHalvesTime(t *testing.T) {
 	run := func(nics int) float64 {
-		c := microCluster(2).WithNICs(nics)
-		net := netsim.NewClusterNet(c)
-		_, err := buildBroadcast(net, Options{Chunks: 64}, "u", 0, []int{4, 5, 6, 7}, 64000, 0, nil)
+		b := NewPlanBuilder()
+		net := b.bind(microCluster(2).WithNICs(nics))
+		_, err := b.buildBroadcast(nil, Options{Chunks: 64}, 0, 0, []int{4, 5, 6, 7}, 64000, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

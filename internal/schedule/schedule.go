@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -480,45 +481,111 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 // maximal set of mutually non-conflicting tasks (found as the best of
 // `trials` random orderings), launch the set, and recurse on the rest.
 // Senders within a batch are chosen to avoid conflicts and balance load.
-// Scratch buffers are reused across trials and rounds, so one call
-// allocates a fixed handful of objects regardless of trial count.
+//
+// Per-host state lives in dense slices over the instance's distinct host
+// ids, and the per-trial host sets are stamp arrays, so nothing is cleared
+// or allocated per trial or per round: one call allocates a constant
+// number of scratch slices plus the returned plan. Each round is bounded
+// before its trials by the sum, over distinct receiver hosts, of the
+// largest 1+len(ReceiverHosts) among the remaining tasks receiving there —
+// an upper bound on any batch's score, since a batch's receiver sets are
+// disjoint and every task has a receiver. A trial that reaches the bound
+// cannot be replaced (the comparison is strict), so later trials of the
+// round skip evaluation but still draw their shuffle from rng: the plan
+// and the RNG stream are exactly those of evaluating every trial.
+//
+//alpacomm:hotpath
 func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	if trials < 1 {
 		trials = 1
 	}
-	remaining := make([]int, len(tasks))
+	n := len(tasks)
+	if n == 0 {
+		return Plan{Sender: map[int]int{}}
+	}
+	// Remap host ids onto dense indices; the remap is monotone, so
+	// comparing dense indices orders hosts exactly as their ids do.
+	total := 0
+	for i := range tasks {
+		total += len(tasks[i].SenderHosts) + len(tasks[i].ReceiverHosts)
+	}
+	ids := make([]int, 0, total)
+	for i := range tasks {
+		ids = append(ids, tasks[i].SenderHosts...)
+		ids = append(ids, tasks[i].ReceiverHosts...)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	// dense[off[i]:off[i+1]] holds task i's sender hosts, then its
+	// receiver hosts, as dense indices.
+	dense := make([]int, total)
+	off := make([]int, n+1)
+	for i := range tasks {
+		k := off[i]
+		for _, h := range tasks[i].SenderHosts {
+			dense[k] = sort.SearchInts(ids, h)
+			k++
+		}
+		for _, h := range tasks[i].ReceiverHosts {
+			dense[k] = sort.SearchInts(ids, h)
+			k++
+		}
+		off[i+1] = k
+	}
+	hosts := make([]greedyHost, len(ids))
+
+	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
 	}
-	load := map[int]float64{}
-	p := Plan{Sender: map[int]int{}}
-	type pick struct {
-		taskIdx int
-		sender  int
-	}
-	// Reused across trials and rounds; every per-trial structure is reset
-	// by clearing, not reallocating.
-	perm := make([]int, 0, len(tasks))
-	var batch, bestBatch []pick
-	usedSend := map[int]bool{}
-	usedRecv := map[int]bool{}
-	inBatch := make([]bool, len(tasks))
-	rest := make([]int, 0, len(tasks))
+	rest := make([]int, 0, n)
+	perm := make([]int, 0, n)
+	inBatch := make([]bool, n)
+	batch := make([]greedyPick, 0, n)
+	bestBatch := make([]greedyPick, 0, n)
+	p := Plan{Sender: make(map[int]int, n), Order: make([]int, 0, n)}
+	stamp := 0
 	for len(remaining) > 0 {
+		stamp++
+		bound := 0
+		for _, ti := range remaining {
+			recv := dense[off[ti]+len(tasks[ti].SenderHosts) : off[ti+1]]
+			if len(recv) == 0 {
+				bound = math.MaxInt // no receiver to charge: the bound does not apply
+				break
+			}
+			w := 1 + len(recv)
+			for _, r := range recv {
+				h := &hosts[r]
+				if h.boundStamp != stamp {
+					h.boundStamp, h.boundW = stamp, 0
+				}
+				if w > h.boundW {
+					bound += w - h.boundW
+					h.boundW = w
+				}
+			}
+		}
+
 		bestBatch = bestBatch[:0]
-		bestHosts := -1
+		bestScore := -1
 		for trial := 0; trial < trials; trial++ {
+			if bestScore >= bound {
+				rng.Shuffle(len(remaining), noSwap)
+				continue
+			}
 			perm = append(perm[:0], remaining...)
-			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			clear(usedSend)
-			clear(usedRecv)
+			rng.Shuffle(len(perm), swapper(perm).swap)
+			stamp++
 			batch = batch[:0]
-			hosts := 0
+			score := 0
 			for _, ti := range perm {
 				t := &tasks[ti]
+				cand := dense[off[ti] : off[ti]+len(t.SenderHosts)]
+				recv := dense[off[ti]+len(t.SenderHosts) : off[ti+1]]
 				conflict := false
-				for _, r := range t.ReceiverHosts {
-					if usedRecv[r] {
+				for _, r := range recv {
+					if hosts[r].recvStamp == stamp {
 						conflict = true
 						break
 					}
@@ -527,40 +594,39 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 					continue
 				}
 				// Pick a free candidate sender with the lightest load.
-				s, sLoad := -1, math.Inf(1)
-				for _, c := range t.SenderHosts {
-					if usedSend[c] {
+				s, sd, sLoad := -1, -1, math.Inf(1)
+				for k, c := range cand {
+					h := &hosts[c]
+					if h.sendStamp == stamp {
 						continue
 					}
-					if load[c] < sLoad || (load[c] == sLoad && c < s) {
-						s, sLoad = c, load[c]
+					if id := t.SenderHosts[k]; h.load < sLoad || (h.load == sLoad && id < s) {
+						s, sd, sLoad = id, c, h.load
 					}
 				}
 				if s < 0 {
 					continue
 				}
-				usedSend[s] = true
-				for _, r := range t.ReceiverHosts {
-					usedRecv[r] = true
+				hosts[sd].sendStamp = stamp
+				for _, r := range recv {
+					hosts[r].recvStamp = stamp
 				}
-				batch = append(batch, pick{ti, s})
-				hosts += 1 + len(t.ReceiverHosts)
+				batch = append(batch, greedyPick{task: ti, sender: s, senderIdx: sd, dur: t.Duration})
+				score += 1 + len(recv)
 			}
-			if hosts > bestHosts {
-				bestHosts = hosts
-				bestBatch = append(bestBatch[:0], batch...)
+			if score > bestScore {
+				bestScore = score
+				batch, bestBatch = bestBatch, batch
 			}
 		}
 		// Launch the batch, longest tasks first so stragglers start early.
-		sort.SliceStable(bestBatch, func(a, b int) bool {
-			return tasks[bestBatch[a].taskIdx].Duration > tasks[bestBatch[b].taskIdx].Duration
-		})
+		slices.SortStableFunc(bestBatch, longerFirst)
 		for _, b := range bestBatch {
-			t := &tasks[b.taskIdx]
-			p.Sender[t.ID] = b.sender
-			p.Order = append(p.Order, t.ID)
-			load[b.sender] += t.Duration
-			inBatch[b.taskIdx] = true
+			id := tasks[b.task].ID
+			p.Sender[id] = b.sender
+			p.Order = append(p.Order, id)
+			hosts[b.senderIdx].load += b.dur
+			inBatch[b.task] = true
 		}
 		rest = rest[:0]
 		for _, ti := range remaining {
@@ -572,6 +638,44 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	}
 	return p
 }
+
+// greedyHost is GreedyRandomized's per-host state: committed send load,
+// the stamps marking the host's send and receive sides taken in the
+// current trial, and its share of the current round's bound.
+type greedyHost struct {
+	load                             float64
+	sendStamp, recvStamp, boundStamp int
+	boundW                           int
+}
+
+// greedyPick is one task of a candidate batch with its chosen sender (id
+// and dense index).
+type greedyPick struct {
+	task, sender, senderIdx int
+	dur                     float64
+}
+
+// longerFirst orders picks by descending duration; with a stable sort it
+// keeps equal durations in batch order.
+func longerFirst(a, b greedyPick) int {
+	switch {
+	case a.dur > b.dur:
+		return -1
+	case a.dur < b.dur:
+		return 1
+	}
+	return 0
+}
+
+// swapper adapts a permutation to rand.Shuffle's swap callback without a
+// capturing closure.
+type swapper []int
+
+func (s swapper) swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+// noSwap is the swap callback of a skipped trial: the shuffle still draws
+// its random numbers, keeping the RNG stream aligned, but moves nothing.
+func noSwap(int, int) {}
 
 // Ensemble runs Naive, LoadBalanceOnly, GreedyRandomized and (for small
 // problems) DFSPruning, and returns the plan with the smallest makespan.

@@ -120,26 +120,33 @@ func (t *Task) TotalBytes() int64 {
 // SenderHosts returns the candidate sender hosts of a unit task (the
 // paper's n_i: scheduling happens at host granularity, §3.2).
 func (t *Task) SenderHosts(u UnitTask) []int {
-	return hostsOf(t.Src.Mesh.Topo, u.Senders)
+	return appendHosts(nil, t.Src.Mesh.Topo, u.Senders)
 }
 
 // ReceiverHosts returns the receiver hosts of a unit task (m_i).
 func (t *Task) ReceiverHosts(u UnitTask) []int {
-	return hostsOf(t.Dst.Mesh.Topo, u.Receivers)
+	return t.AppendReceiverHosts(nil, u)
 }
 
-func hostsOf(c mesh.Topology, devices []int) []int {
-	// Devices are sorted and hosts own contiguous ascending device runs, so
-	// the host sequence is non-decreasing: deduplicating consecutive values
-	// yields the sorted distinct host list without a set.
-	var out []int
+// AppendReceiverHosts appends the receiver hosts of a unit task to dst and
+// returns the extended slice: ReceiverHosts into a reusable buffer.
+func (t *Task) AppendReceiverHosts(dst []int, u UnitTask) []int {
+	return appendHosts(dst, t.Dst.Mesh.Topo, u.Receivers)
+}
+
+// appendHosts appends the distinct hosts of devices to dst. Devices are
+// sorted and hosts own contiguous ascending device runs, so the host
+// sequence is non-decreasing: deduplicating consecutive values yields the
+// sorted distinct host list without a set.
+func appendHosts(dst []int, c mesh.Topology, devices []int) []int {
+	start := len(dst)
 	for _, d := range devices {
 		h := c.HostOf(d)
-		if len(out) == 0 || out[len(out)-1] != h {
-			out = append(out, h)
+		if len(dst) == start || dst[len(dst)-1] != h {
+			dst = append(dst, h)
 		}
 	}
-	return out
+	return dst
 }
 
 func (t *Task) String() string {
